@@ -47,7 +47,6 @@ from .exactlin import (
     format_rat,
     gram,
     kernel_basis,
-    leading_principal_minors,
     negative_semidefinite_rank,
     rank,
     rat,

@@ -25,7 +25,6 @@ gamma in adjacent degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exactlin
@@ -162,52 +161,49 @@ class StratifiedComplex:
     def position(self, r: int, index_set: tuple[int, ...]) -> int:
         return self._positions[r][index_set]
 
-    def has_explicit_maps(self) -> bool:
-        return bool(self._push) or bool(self._pull)
 
-
-def _delta_pushforward(cx: StratifiedComplex, t: int, u: int) -> RatMatrix:
-    if t in cx._push:
-        return cx._push[t][u - 1]
-    rows, cols = cx.rank(t), cx.rank(t + 1)
-    if any(r != 1 for r in cx.level_ranks(t)) or any(r != 1 for r in cx.level_ranks(t + 1)):
-        raise MissingMap(
-            f"default incidence maps need rank-1 lattices at degrees {t} and {t + 1}; supply explicit maps"
-        )
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
-    for col, index_set in enumerate(cx.strata(t + 1)):
-        facet = index_set[: u - 1] + index_set[u:]
-        grid[cx.position(t, facet)][col] = Fraction(1)
-    return RatMatrix(grid, ncols=cols)
-
-
-def _delta_pullback(cx: StratifiedComplex, t: int, u: int) -> RatMatrix:
-    if t in cx._pull:
-        return cx._pull[t][u - 1]
-    return _delta_pushforward(cx, t, u).transpose()
+def _alternating_sum(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """sum_u (-1)^(u-1) mats[u], u = 1..len(mats)."""
+    return RatMatrix(
+        [
+            [sum(x if u % 2 == 0 else -x for u, x in enumerate(entries)) for entries in zip(*rows)]
+            for rows in zip(*(m.rows for m in mats))
+        ],
+        ncols=mats[0].ncols,
+    )
 
 
 def gamma_matrix(cx: StratifiedComplex, t: int) -> RatMatrix:
     """Signed pushforward sum from the Y^(t+1) lattice to the Y^(t) lattice.
 
-    Sign (-1)^(u-1), u the position of the deleted index.  At t = depth
-    the source lattice is empty and the map has zero columns.
+    Sign (-1)^(u-1), u the position of the deleted index.  Without
+    explicit pushforwards this is the signed incidence matrix of the
+    strata: column S has (-1)^(u-1) at the facet of S missing its u-th
+    index.  At t = depth the source lattice is empty and the map has zero
+    columns.
     """
     if not 1 <= t <= cx.depth:
         raise DegreeOutOfRange(f"degree {t} outside 1..{cx.depth}")
+    if t in cx._push:
+        return _alternating_sum(cx._push[t])
     rows, cols = cx.rank(t), cx.rank(t + 1)
     if cols == 0:
         return RatMatrix.zeros(rows, 0)
-    total = RatMatrix.zeros(rows, cols)
-    for u in range(1, t + 2):
-        term = _delta_pushforward(cx, t, u)
-        total = total.add(term if u % 2 == 1 else term.scale(-1))
-    return total
+    if any(r != 1 for r in cx.level_ranks(t)) or any(r != 1 for r in cx.level_ranks(t + 1)):
+        raise MissingMap(
+            f"default incidence maps need rank-1 lattices at degrees {t} and {t + 1}; supply explicit maps"
+        )
+    grid = [[0] * cols for _ in range(rows)]
+    for col, index_set in enumerate(cx.strata(t + 1)):
+        for u in range(t + 1):
+            grid[cx.position(t, index_set[:u] + index_set[u + 1:])][col] = -1 if u % 2 else 1
+    return RatMatrix(grid, ncols=cols)
 
 
 def rho_matrix(cx: StratifiedComplex, t: int, convention: str = "as-written") -> RatMatrix:
     """Signed pullback sum from the Y^(t) lattice to the Y^(t+1) lattice.
 
+    This is the transpose of gamma unless explicit pullbacks are given.
     The "alternating" convention multiplies the degree-t operator by
     (-1)^t; it changes neither rho^2 = 0 nor ranks, only the
     anticommutator with gamma.
@@ -216,13 +212,7 @@ def rho_matrix(cx: StratifiedComplex, t: int, convention: str = "as-written") ->
         raise ValueError(f"unknown sign convention {convention!r}; expected one of {SIGN_CONVENTIONS}")
     if not 1 <= t <= cx.depth:
         raise DegreeOutOfRange(f"degree {t} outside 1..{cx.depth}")
-    rows, cols = cx.rank(t + 1), cx.rank(t)
-    if rows == 0:
-        return RatMatrix.zeros(0, cols)
-    total = RatMatrix.zeros(rows, cols)
-    for u in range(1, t + 2):
-        term = _delta_pullback(cx, t, u)
-        total = total.add(term if u % 2 == 1 else term.scale(-1))
+    total = _alternating_sum(cx._pull[t]) if t in cx._pull else gamma_matrix(cx, t).transpose()
     if convention == "alternating" and t % 2 == 1:
         total = total.scale(-1)
     return total
@@ -384,13 +374,13 @@ def complex_from_fibre_graph(graph) -> StratifiedComplex:
     strata[2] = [(i, j) for i, j, _ in pairs]
     ranks = [k for _, _, k in pairs]
     total = sum(ranks)
-    drop_first = [[Fraction(0)] * total for _ in range(n)]
-    drop_second = [[Fraction(0)] * total for _ in range(n)]
+    drop_first = [[0] * total for _ in range(n)]
+    drop_second = [[0] * total for _ in range(n)]
     col = 0
     for i, j, k in pairs:
         for _ in range(k):
-            drop_first[j][col] = Fraction(1)
-            drop_second[i][col] = Fraction(1)
+            drop_first[j][col] = 1
+            drop_second[i][col] = 1
             col += 1
     return StratifiedComplex(
         strata,
@@ -401,6 +391,7 @@ def complex_from_fibre_graph(graph) -> StratifiedComplex:
 
 _COMPLEX_KEYS = {"depth", "strata", "lattice_ranks", "maps"}
 _MAP_KEYS = {"pushforward", "pullback"}
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", (int, str): "an integer or a 'p/q' string"}
 
 
 def _matrix_to_json(m: RatMatrix) -> dict:
@@ -411,14 +402,35 @@ def _matrix_to_json(m: RatMatrix) -> dict:
     }
 
 
+def _expect(value, kind, what: str):
+    """Return ``value`` if it has the JSON type ``kind``; booleans are not integers."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    return [_expect(x, int, f"each entry of {what}") for x in _expect(value, list, what)]
+
+
 def _matrix_from_json(doc: object) -> RatMatrix:
     if not isinstance(doc, dict) or set(doc) != {"rows", "cols", "entries"}:
         raise ValueError("matrix documents need exactly the keys rows, cols, entries")
-    entries = [[rat(x) for x in row] for row in doc["entries"]]
-    m = RatMatrix(entries, ncols=doc["cols"])
-    if m.nrows != doc["rows"]:
+    entries = [
+        [rat(_expect(x, (int, str), "each matrix entry")) for x in _expect(row, list, "each matrix row")]
+        for row in _expect(doc["entries"], list, "matrix 'entries'")
+    ]
+    m = RatMatrix(entries, ncols=_expect(doc["cols"], int, "matrix 'cols'"))
+    if m.nrows != _expect(doc["rows"], int, "matrix 'rows'"):
         raise ValueError("matrix row count disagrees with entries")
     return m
+
+
+def _maps_from_json(doc: object, what: str) -> dict[int, list[RatMatrix]]:
+    return {
+        int(t): [_matrix_from_json(m) for m in _expect(mats, list, f"{what}[{t!r}]")]
+        for t, mats in _expect(doc, dict, what).items()
+    }
 
 
 def complex_to_json(cx: StratifiedComplex) -> dict:
@@ -451,20 +463,26 @@ def complex_from_json(doc: object) -> StratifiedComplex:
         raise ValueError(f"unknown keys in complex document: {sorted(unknown)}")
     if "strata" not in doc or not isinstance(doc["strata"], dict):
         raise ValueError("complex document needs a 'strata' object")
-    strata = {int(r): [tuple(s) for s in sets] for r, sets in doc["strata"].items()}
+    strata = {
+        int(r): [tuple(_int_list(s, f"strata[{r!r}] entry")) for s in _expect(sets, list, f"strata[{r!r}]")]
+        for r, sets in doc["strata"].items()
+    }
     ranks = None
     if "lattice_ranks" in doc:
-        ranks = {int(r): list(v) for r, v in doc["lattice_ranks"].items()}
+        ranks = {
+            int(r): _int_list(v, f"lattice_ranks[{r!r}]")
+            for r, v in _expect(doc["lattice_ranks"], dict, "'lattice_ranks'").items()
+        }
     push = pull = None
     if "maps" in doc:
         maps = doc["maps"]
         if not isinstance(maps, dict) or set(maps) - _MAP_KEYS:
             raise ValueError("'maps' may only contain 'pushforward' and 'pullback'")
         if "pushforward" in maps:
-            push = {int(t): [_matrix_from_json(m) for m in mats] for t, mats in maps["pushforward"].items()}
+            push = _maps_from_json(maps["pushforward"], "'pushforward'")
         if "pullback" in maps:
-            pull = {int(t): [_matrix_from_json(m) for m in mats] for t, mats in maps["pullback"].items()}
+            pull = _maps_from_json(maps["pullback"], "'pullback'")
     cx = StratifiedComplex(strata, lattice_ranks=ranks, pushforward=push, pullback=pull)
-    if "depth" in doc and doc["depth"] != cx.depth:
+    if "depth" in doc and _expect(doc["depth"], int, "'depth'") != cx.depth:
         raise ValueError(f"declared depth {doc['depth']} disagrees with strata (depth {cx.depth})")
     return cx

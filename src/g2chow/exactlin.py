@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of :class:`fractions.Fraction` with deterministic Gaussian
-elimination: affine solves with explicit kernel bases, exact rank, Gram
-matrices, leading principal minors, and semidefiniteness certificates.
+Dense matrices of :class:`fractions.Fraction`, exact rank, reduced row
+echelon forms, affine solves with kernel bases, Gram matrices and
+semidefiniteness certificates.  There is no floating point anywhere in
+this package, and identical inputs always produce identical outputs.
 
-There is no floating point anywhere in this package.  Pivoting is "first
-nonzero in column order", kernel bases come from the reduced row echelon
-form with free variables in ascending column order, so identical inputs
-always produce identical outputs.  Rank and semidefiniteness use
-fraction-free (Bareiss) elimination on integer-scaled rows, which keeps
-the bulk of the arithmetic in plain integers.
+All elimination is one integer row step, ``_clear``, on rows scaled by
+the lcm of their denominators: a target row with x in the pivot column
+becomes ``p*row - x*pivot_row`` divided by the gcd of its entries.  The
+step only multiplies integers and divides by a common divisor, so it is
+exact.  Each row stays proportional to the same row of fraction-free
+(Bareiss) elimination, whose entries are minors of the scaled input, so
+no entry outgrows such a minor.  Two pivot rules drive the step:
+
+* first nonzero entry per column, cleared in every other row
+  (Gauss-Jordan), for ``rref``, ``rank``, ``kernel_basis`` and
+  ``solve_affine``.  Dividing each pivot row by its pivot gives the unique
+  reduced row echelon form; Fractions are built only for returned values,
+  and kernel bases list free columns in ascending order;
+* first nonzero diagonal entry, swapped in by rows and columns alike and
+  cleared below, for ``negative_semidefinite_rank``.
 """
 
 from __future__ import annotations
@@ -42,7 +52,8 @@ def format_rat(x: Fraction) -> str:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    # intersection matrices and gamma/rho operators are mostly zeros
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 class RatMatrix:
@@ -51,12 +62,17 @@ class RatMatrix:
     Zero-row and zero-column matrices are allowed (they occur as operators
     in and out of empty stratum lattices); an empty row list needs an
     explicit ``ncols``.
+
+    Tuples are built from lists, not generators: CPython starts a tuple
+    built from a generator at length 10 and resizes it, which moves
+    free-list entries from that size to the final one, and over many
+    matrices those free lists hold megabytes.
     """
 
     __slots__ = ("_rows", "_ncols")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]], ncols: int | None = None):
-        data = tuple(tuple(rat(x) for x in row) for row in rows)
+        data = tuple([tuple([rat(x) for x in row]) for row in rows])
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -98,7 +114,7 @@ class RatMatrix:
         return self._rows[i]
 
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self._rows)
+        return tuple([row[j] for row in self._rows])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -117,7 +133,7 @@ class RatMatrix:
     def matvec(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self._ncols:
             raise ValueError(f"vector length {len(v)} does not match {self._ncols} columns")
-        return tuple(dot(row, v) for row in self._rows)
+        return tuple([dot(row, v) for row in self._rows])
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if (self.nrows, self._ncols) != (other.nrows, other.ncols):
@@ -174,35 +190,52 @@ class SemidefiniteReport:
     witness: str | None
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with first-nonzero pivoting.
+def _int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators (a positive factor)."""
+    out: list[list[int]] = []
+    for row in rows:
+        den = reduce(math.lcm, (x.denominator for x in row), 1)
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
-    Returns the reduced matrix and the tuple of pivot columns.
+
+def _clear(rows: list[list[int]], r: int, c: int, targets: Iterable[int]) -> None:
+    """The elimination step: clear column c of the target rows with pivot row r.
+
+    Rows with a zero in column c are left alone.
     """
-    rows = [list(row) for row in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    pivot = rows[r]
+    p = pivot[c]
+    for i in targets:
+        x = rows[i][c]
+        if x:
+            row = [p * a - x * b for a, b in zip(rows[i], pivot)]
+            g = math.gcd(*row)
+            rows[i] = [a // g for a in row] if g > 1 else row
+
+
+def _gauss_jordan(rows: list[list[int]]) -> list[int]:
+    """Reduce integer rows in place and return the pivot columns.
+
+    Row k ends with its pivot in column ``pivots[k]`` and zeros in the
+    other pivot columns; divided by that pivot it is row k of the rref.
+    """
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        _clear(rows, r, c, (i for i in range(len(rows)) if i != r))
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(rows):
             break
-    return RatMatrix(rows, ncols=ncols), tuple(pivots)
+    return pivots
 
 
-def _kernel_from_rref(reduced: RatMatrix, pivots: Sequence[int], ncols: int) -> tuple[Vec, ...]:
+def _kernel(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> tuple[Vec, ...]:
+    """One kernel vector per free column (ascending), with a single 1 there."""
     pivot_set = set(pivots)
     basis: list[Vec] = []
     for f in range(ncols):
@@ -210,10 +243,22 @@ def _kernel_from_rref(reduced: RatMatrix, pivots: Sequence[int], ncols: int) -> 
             continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form with first-nonzero pivoting.
+
+    Returns the reduced matrix and the tuple of pivot columns.
+    """
+    rows = _int_rows(m.rows)
+    pivots = _gauss_jordan(rows)
+    reduced = [[Fraction(a, row[p]) for a in row] for row, p in zip(rows, pivots)]
+    zero = [0] * m.ncols
+    return RatMatrix(reduced + [zero] * (m.nrows - len(pivots)), ncols=m.ncols), tuple(pivots)
 
 
 def kernel_basis(m: RatMatrix) -> tuple[Vec, ...]:
@@ -222,8 +267,8 @@ def kernel_basis(m: RatMatrix) -> tuple[Vec, ...]:
     One vector per free column (ascending), each with a single 1 in its
     free position.
     """
-    reduced, pivots = rref(m)
-    return _kernel_from_rref(reduced, pivots, m.ncols)
+    rows = _int_rows(m.rows)
+    return _kernel(rows, _gauss_jordan(rows), m.ncols)
 
 
 def solve_affine(m: RatMatrix, b: Sequence[int | str | Fraction]) -> AffineSolution:
@@ -235,63 +280,20 @@ def solve_affine(m: RatMatrix, b: Sequence[int | str | Fraction]) -> AffineSolut
     rhs = [rat(x) for x in b]
     if len(rhs) != m.nrows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {m.nrows} rows")
-    augmented = RatMatrix(
-        [list(row) + [bv] for row, bv in zip(m.rows, rhs)], ncols=m.ncols + 1
-    )
-    reduced, pivots = rref(augmented)
-    if m.ncols in pivots:
+    n = m.ncols
+    rows = _int_rows(row + (bv,) for row, bv in zip(m.rows, rhs))
+    pivots = _gauss_jordan(rows)
+    if n in pivots:
         raise InconsistentSystem("right-hand side is not in the column span of the matrix")
-    x = [Fraction(0)] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i, m.ncols]
-    return AffineSolution(tuple(x), _kernel_from_rref(reduced, pivots, m.ncols))
-
-
-def _int_rows(m: RatMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank preserving)."""
-    out: list[list[int]] = []
-    for row in m.rows:
-        den = reduce(math.lcm, (x.denominator for x in row), 1)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("fraction-free elimination lost exact divisibility")
-    return q
-
-
-def _int_echelon_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination with row pivoting."""
-    if not rows or not rows[0]:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            x = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            for j in range(c, ncols):
-                ri[j] = _exact_div(p * ri[j] - x * rr[j], prev)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    x = [Fraction(0)] * n
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(row[n], row[p])
+    return AffineSolution(tuple(x), _kernel(rows, pivots, n))
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank over the rationals."""
-    return _int_echelon_rank(_int_rows(m))
+    return len(_gauss_jordan(_int_rows(m.rows)))
 
 
 def gram(vectors: Sequence[Sequence[int | str | Fraction]], pairing: RatMatrix) -> RatMatrix:
@@ -306,50 +308,24 @@ def gram(vectors: Sequence[Sequence[int | str | Fraction]], pairing: RatMatrix) 
     return RatMatrix([[dot(v, w) for w in images] for v in vs], ncols=len(vs))
 
 
-def leading_principal_minors(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Leading principal minors ``det(m[:k,:k])`` for k = 1..n.
-
-    Computed by fraction-free elimination without pivoting; the sequence is
-    truncated after the first zero minor, where elimination cannot continue.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("matrix must be square")
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-    minors: list[Fraction] = []
-    prev = Fraction(1)
-    for k in range(n):
-        piv = a[k][k]
-        minors.append(piv)
-        if piv == 0:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) / prev
-        prev = piv
-    return tuple(minors)
-
-
 def negative_semidefinite_rank(m: RatMatrix) -> SemidefiniteReport:
     """Exact negative-semidefiniteness test for a symmetric matrix.
 
-    Runs fraction-free symmetric elimination with diagonal pivoting on the
-    negated, integer-scaled matrix.  The form is negative semidefinite
-    exactly when the elimination completes with positive pivots and a zero
-    residual block; the number of pivots is the rank of the form.
+    Eliminates the negated, integer-scaled matrix with the first nonzero
+    diagonal entry as pivot, swapping rows and columns alike.  Each step
+    leaves the remaining block a positive row scaling of the (scaled) Schur
+    complement, which has the same diagonal signs, zero pattern and rank.
+    The form is negative semidefinite exactly when every pivot is positive
+    and the block left without a nonzero diagonal is zero; the number of
+    pivots is the rank of the form.
     """
     if m.nrows != m.ncols:
         raise ValueError("matrix must be square")
     if not m.is_symmetric():
         raise ValueError("matrix must be symmetric")
     n = m.nrows
-    if n == 0:
-        return SemidefiniteReport(True, 0, None)
-    scale = reduce(math.lcm, (x.denominator for row in m.rows for x in row), 1)
-    a = [[int(-x * scale) for x in row] for row in m.rows]
+    a = [[-x for x in row] for row in _int_rows(m.rows)]
     perm = list(range(n))
-    prev = 1
-    rk = 0
     for k in range(n):
         piv = next((j for j in range(k, n) if a[j][j]), None)
         if piv is None:
@@ -357,23 +333,16 @@ def negative_semidefinite_rank(m: RatMatrix) -> SemidefiniteReport:
                 for j in range(i + 1, n):
                     if a[i][j]:
                         return SemidefiniteReport(
-                            False, rk, f"indefinite 2x2 principal block at indices ({perm[i]}, {perm[j]})"
+                            False, k, f"indefinite 2x2 principal block at indices ({perm[i]}, {perm[j]})"
                         )
-            return SemidefiniteReport(True, rk, None)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-        p = a[k][k]
-        if p < 0:
+            return SemidefiniteReport(True, k, None)
+        a[k], a[piv] = a[piv], a[k]
+        for row in a:
+            row[k], row[piv] = row[piv], row[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
+        if a[k][k] < 0:
             return SemidefiniteReport(
-                False, rk, f"direction with positive self-pairing at index {perm[k]}"
+                False, k, f"direction with positive self-pairing at index {perm[k]}"
             )
-        rk += 1
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(p * a[i][j] - aik * a[k][j], prev)
-        prev = p
-    return SemidefiniteReport(True, rk, None)
+        _clear(a, k, k, range(k + 1, n))
+    return SemidefiniteReport(True, n, None)

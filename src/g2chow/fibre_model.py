@@ -25,6 +25,11 @@ class FibreFormatError(ValueError):
     """Malformed fibre-graph JSON document."""
 
 
+def _is_int(x: object) -> bool:
+    """True for integers; JSON booleans parse as Python bools, which are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Component:
     """One irreducible component of the special fibre.
@@ -66,7 +71,7 @@ class FibreGraph:
                     raise ValueError(f"intersection references unknown component {name!r}")
             if a == b:
                 raise ValueError(f"self-pair ({a!r}, {b!r}) is not allowed; use the self-intersection field")
-            if not isinstance(k, int) or k < 0:
+            if not _is_int(k) or k < 0:
                 raise ValueError(f"intersection count for ({a!r}, {b!r}) must be a non-negative integer")
             key = frozenset((a, b))
             if key in mult:
@@ -129,18 +134,18 @@ class FibreGraph:
 
 
 def intersection_matrix(graph: FibreGraph) -> RatMatrix:
-    """Symmetric intersection matrix in the component order of the graph."""
-    names = graph.names
-    n = len(names)
-    rows = []
-    for i, a in enumerate(names):
-        row = []
-        for j, b in enumerate(names):
-            if i == j:
-                row.append(Fraction(graph.components[i].self_intersection))
-            else:
-                row.append(Fraction(graph.mult(a, b)))
-        rows.append(row)
+    """Symmetric intersection matrix in the component order of the graph.
+
+    Self-intersections on the diagonal, pair counts off it: for a valid
+    fibre this is minus the Laplacian of the dual multigraph.
+    """
+    n = len(graph)
+    rows = [[0] * n for _ in range(n)]
+    for i, comp in enumerate(graph.components):
+        rows[i][i] = comp.self_intersection
+    for a, b, k in graph.edges:
+        i, j = graph.index(a), graph.index(b)
+        rows[i][j] = rows[j][i] = k
     return RatMatrix(rows, ncols=n)
 
 
@@ -375,17 +380,20 @@ def graph_from_json(doc: object) -> tuple[FibreGraph, HorizontalDivisor | None]:
             raise FibreFormatError("component entries need 'name' and 'self'")
         name, self_int = entry["name"], entry["self"]
         genus = entry.get("genus", 0)
-        if not isinstance(name, str) or not isinstance(self_int, int) or not isinstance(genus, int):
+        if not isinstance(name, str) or not _is_int(self_int) or not _is_int(genus):
             raise FibreFormatError(f"malformed component entry for {name!r}")
         if genus < 0:
             raise FibreFormatError(f"component {name!r} has negative genus")
         components.append(Component(name, genus=genus, self_intersection=self_int))
+    raw_intersections = doc.get("intersections", [])
+    if not isinstance(raw_intersections, list):
+        raise FibreFormatError("'intersections' must be a list")
     intersections = []
-    for entry in doc.get("intersections", []):
+    for entry in raw_intersections:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FibreFormatError(f"intersection entries must be [name, name, count], got {entry!r}")
         a, b, k = entry
-        if not isinstance(a, str) or not isinstance(b, str) or not isinstance(k, int):
+        if not isinstance(a, str) or not isinstance(b, str) or not _is_int(k):
             raise FibreFormatError(f"malformed intersection entry {entry!r}")
         intersections.append((a, b, k))
     try:
@@ -400,7 +408,7 @@ def graph_from_json(doc: object) -> tuple[FibreGraph, HorizontalDivisor | None]:
         for name, k in raw.items():
             if name not in graph.names:
                 raise FibreFormatError(f"horizontal divisor references unknown component {name!r}")
-            if not isinstance(k, int):
+            if not _is_int(k):
                 raise FibreFormatError(f"horizontal multiplicity for {name!r} must be an integer")
         horizontal = HorizontalDivisor(dict(raw))
     return graph, horizontal

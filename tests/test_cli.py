@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from g2chow.cli import main
+from support import MALFORMED_COMPLEX_DOCUMENTS, MALFORMED_FIBRE_DOCUMENTS
 
 
 def run(capsys, *argv):
@@ -191,6 +194,25 @@ def test_complex_json_input(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pch"]["quotient"] == 0
+
+
+def _single_error_line(code, out, err):
+    return code == 2 and not out and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", MALFORMED_FIBRE_DOCUMENTS, ids=json.dumps)
+def test_malformed_fibre_documents_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "fibre.json"
+    path.write_text(json.dumps(doc))
+    assert _single_error_line(*run(capsys, "solve", "--input", str(path), "--cycle", "A:B"))
+    assert _single_error_line(*run(capsys, "boundary", "--input", str(path), "--cycle", "A:B"))
+
+
+@pytest.mark.parametrize("doc", MALFORMED_COMPLEX_DOCUMENTS, ids=json.dumps)
+def test_malformed_complex_documents_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    assert _single_error_line(*run(capsys, "complex", "--input", str(path), "--format", "json"))
 
 
 def test_complex_missing_iistar(capsys):

@@ -19,7 +19,7 @@ from g2chow.exactlin import RatMatrix, kernel_basis, rank
 from g2chow.fibre_model import intersection_matrix
 from g2chow.parshin_catalog import build_kulikov_complex
 
-from support import graph_of
+from support import MALFORMED_COMPLEX_DOCUMENTS, graph_of
 
 
 def test_gamma_is_signed_incidence_of_three_cycle():
@@ -152,6 +152,28 @@ def test_complex_validation():
         StratifiedComplex({1: [(0,), (0,)]})  # duplicate
     with pytest.raises(ValueError):
         StratifiedComplex({1: [(0,), (1,)], 2: [(0, 1)]}, lattice_ranks={2: [1, 1]})
+
+    for doc in MALFORMED_COMPLEX_DOCUMENTS:
+        with pytest.raises(ValueError):
+            complex_from_json(doc)
+
+
+def test_explicit_pullbacks_replace_transposed_gamma():
+    strata = {1: [(0,), (1,)], 2: [(0, 1)]}
+    cx = StratifiedComplex(strata, pullback={1: [RatMatrix([[0, 2]]), RatMatrix([[3, 0]])]})
+    assert rho_matrix(cx, 1) == RatMatrix([[-3, 2]])
+    assert rho_matrix(cx, 1, "alternating") == RatMatrix([[3, -2]])
+    assert gamma_matrix(cx, 1) == RatMatrix([[-1], [1]])
+    assert rho_matrix(cx, 2) == RatMatrix.zeros(0, 1)
+
+
+def test_default_maps_need_rank_one_lattices():
+    cx = StratifiedComplex({1: [(0,), (1,)], 2: [(0, 1)]}, lattice_ranks={1: [2, 1]})
+    with pytest.raises(MissingMap):
+        gamma_matrix(cx, 1)
+    with pytest.raises(MissingMap):
+        rho_matrix(cx, 1)
+    assert gamma_matrix(cx, 2) == RatMatrix.zeros(1, 0)
 
 
 def test_explicit_map_shapes_checked():

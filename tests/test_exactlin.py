@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2chow.exactlin import (
@@ -10,13 +11,14 @@ from g2chow.exactlin import (
     format_rat,
     gram,
     kernel_basis,
-    leading_principal_minors,
     negative_semidefinite_rank,
     rank,
     rat,
     rref,
     solve_affine,
 )
+
+from support import leading_principal_minors, naive_det, naive_kernel_basis, naive_rref
 
 # the 4-cycle intersection matrix of the loop fibre E-X1-X2-X3-E
 CASE_II_MATRIX = RatMatrix(
@@ -126,6 +128,27 @@ def test_negative_semidefinite_examples():
     assert not off_diag.is_semidefinite and off_diag.witness is not None
 
 
+def test_negative_semidefinite_witnesses():
+    def report(rows):
+        rep = negative_semidefinite_rank(RatMatrix(rows))
+        return rep.is_semidefinite, rep.rank, rep.witness
+
+    assert report([[1, 0], [0, 1]]) == (False, 0, "direction with positive self-pairing at index 0")
+    # the pivot search swaps index 1 to the front before its sign is seen
+    assert report([[0, 0], [0, 1]]) == (False, 0, "direction with positive self-pairing at index 1")
+    assert report([[-2, 1, 0], [1, -2, 0], [0, 0, 1]]) == (
+        False, 2, "direction with positive self-pairing at index 2"
+    )
+    assert report([[0, 1], [1, 0]]) == (False, 0, "indefinite 2x2 principal block at indices (0, 1)")
+    # indices are reported in the original order, after the symmetric swap
+    assert report([[0, 1, 0], [1, 0, 0], [0, 0, -1]]) == (
+        False, 1, "indefinite 2x2 principal block at indices (1, 0)"
+    )
+    assert report([[-1, 0, 0], [0, 0, 1], [0, 1, 0]]) == (
+        False, 1, "indefinite 2x2 principal block at indices (1, 2)"
+    )
+
+
 small_fraction = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
 )
@@ -143,8 +166,11 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 def test_rank_nullity(rows):
     m = RatMatrix(rows)
     assert rank(m) + len(kernel_basis(m)) == m.ncols
-    # fraction-free rank agrees with the pivot count of the reduced form
-    assert rank(m) == len(rref(m)[1])
+    # the integer kernel agrees with an independent Fraction Gauss-Jordan
+    reduced, pivots = naive_rref(m)
+    assert rank(m) == len(pivots)
+    assert rref(m) == (reduced, pivots)
+    assert kernel_basis(m) == naive_kernel_basis(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,6 +183,13 @@ def test_solvable_systems_solve_exactly(rows, data):
     assert m.matvec(sol.particular) == b
     for k in sol.kernel_basis:
         assert m.matvec(k) == tuple(Fraction(0) for _ in range(m.nrows))
+    # free variables are zero in the particular solution of the reduced form
+    reduced, pivots = naive_rref(RatMatrix([list(row) + [bv] for row, bv in zip(m.rows, b)]))
+    expected = [Fraction(0)] * m.ncols
+    for i, p in enumerate(pivots):
+        expected[p] = reduced[i, m.ncols]
+    assert sol.particular == tuple(expected)
+    assert sol.kernel_basis == naive_kernel_basis(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,3 +220,39 @@ def test_gram_symmetric(n, data):
     )
     g = gram(vectors, pairing)
     assert g.is_symmetric()
+
+
+symmetric_int_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.integers(min_value=-2, max_value=2), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+    ).map(lambda upper: _symmetric(n, upper))
+)
+
+
+def _symmetric(n, upper):
+    rows = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(entries)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_int_matrices)
+@example([[0, 1], [1, 0]])
+@example([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+def test_negative_semidefinite_matches_principal_minors(rows):
+    n = len(rows)
+    negated = [[-Fraction(x) for x in row] for row in rows]
+    minors_nonnegative = all(
+        naive_det([[negated[i][j] for j in subset] for i in subset]) >= 0
+        for k in range(1, n + 1)
+        for subset in combinations(range(n), k)
+    )
+    m = RatMatrix(rows)
+    rep = negative_semidefinite_rank(m)
+    assert rep.is_semidefinite == minors_nonnegative
+    assert (rep.witness is None) == rep.is_semidefinite
+    if rep.is_semidefinite:
+        assert rep.rank == rank(m) == len(naive_rref(m)[1])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from g2chow.exactlin import RatMatrix, leading_principal_minors
+from g2chow.exactlin import RatMatrix
 from g2chow.fibre_model import (
     BoundaryCycle,
     Component,
@@ -14,7 +14,7 @@ from g2chow.fibre_model import (
     intersection_matrix,
     validate,
 )
-from support import SWEEPS, graph_of
+from support import MALFORMED_FIBRE_DOCUMENTS, SWEEPS, graph_of, leading_principal_minors
 
 
 def test_single_component_fibre_is_valid():
@@ -67,6 +67,8 @@ def test_graph_constructor_rejections():
         FibreGraph(comps, [("A", "C", 1)])
     with pytest.raises(ValueError):
         FibreGraph(comps, [("A", "B", -1)])
+    with pytest.raises(ValueError):
+        FibreGraph(comps, [("A", "B", True)])
 
 
 def test_horizontal_divisor_vector():
@@ -122,6 +124,9 @@ def test_json_rejects_malformed_documents():
                 "intersections": [["A", "B", 1], ["B", "A", 1]],
             }
         )
+    for doc in MALFORMED_FIBRE_DOCUMENTS:
+        with pytest.raises(FibreFormatError):
+            graph_from_json(doc)
 
 
 def test_catalog_tolerated_keys():
